@@ -7,11 +7,12 @@
 //! the *shapes* (who wins, growth orders, crossovers) are the reproduction
 //! targets.
 //!
-//! Every run also appends a machine-readable trajectory to
-//! `BENCH_pr10.json` (override with `FUNDB_BENCH_JSON`): one record per
+//! Every run also writes a machine-readable trajectory to
+//! `BENCH_pr12.json` (override with `FUNDB_BENCH_JSON`): one record per
 //! experiment with its wall time, plus detailed records (rows/s, join
 //! probes, index hits/misses, threads) for the timed experiments. CI
-//! uploads the file so the bench history accumulates across PRs.
+//! checks its exact counters against the previous committed trajectory
+//! with `scripts/check_bench.py --baseline`.
 
 use fundb_bench::{binary_counter, ring_planner, rotation, subset_lists};
 use fundb_core::{
@@ -164,8 +165,8 @@ impl Bench {
     /// Writes the trajectory file and returns its path.
     fn write(&self) -> std::io::Result<String> {
         let path =
-            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr10.json".to_string());
-        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":10,\"records\":[\n");
+            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr12.json".to_string());
+        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":12,\"records\":[\n");
         out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         std::fs::write(&path, out)?;
@@ -1138,10 +1139,9 @@ fn e14_planner(bench: &mut Bench) {
                 } else {
                     dl::DeltaPlan::new(&s.rules)
                 };
-                // Adaptivity off in BOTH arms: the PR 8 round-one planning
-                // pass would otherwise planify the greedy arm and this
-                // experiment would measure nothing. E16 measures that
-                // recovery; E14 isolates plan-time costing.
+                // Adaptivity off in BOTH arms, so drift re-plans and
+                // shared-prefix grouping (measured by E16) cannot blur the
+                // comparison: E14 isolates plan-time costing.
                 let mut eval = dl::IncrementalEval::new()
                     .with_threads(1)
                     .with_adaptive(false);
@@ -1425,13 +1425,13 @@ fn e15_goal_directed(bench: &mut Bench) {
     );
 }
 
-/// E16 — adaptive join execution (PR 8): the same greedy-compiled plans
-/// with adaptivity off (the planned-once executor of PR 6/7) vs on (live
-/// delta statistics, the round-one planning pass, drift-triggered mid-run
-/// re-plans, and shared-prefix grouping). Answers must be identical; only
-/// probe counts and wall time may move. Gated: ≥1.3x probe reduction on at
-/// least two scenario families, and ≤2% wall drift on the established
-/// workloads whose plans never change.
+/// E16 — adaptive join execution: greedy-compiled plans run as built
+/// (adaptivity off) vs cost-planned plans run adaptively (drift-triggered
+/// mid-run re-plans from live delta statistics, and shared-prefix
+/// grouping). Answers must be identical; only probe counts and wall time
+/// may move. Gated: ≥1.3x probe reduction on at least two scenario
+/// families, and ≤2% wall drift on the established workloads whose plans
+/// never change.
 fn e16_adaptive(bench: &mut Bench) {
     use fundb_bench::scenariogen::RELATIONAL_FAMILIES;
     use fundb_datalog as dl;
@@ -1439,10 +1439,11 @@ fn e16_adaptive(bench: &mut Bench) {
     banner(
         "E16",
         "Adaptive join execution on generated scenario families",
-        "engine-level (no paper claim): re-planning from live statistics at \
-         round boundaries plus shared-prefix grouping must cut join probes \
-         ≥1.3x on ≥2 families over the planned-once executor, answers \
-         byte-identical, with ≤2% wall drift where plans never change",
+        "engine-level (no paper claim): cost-planned adaptive execution \
+         (drift re-plans at round boundaries, shared-prefix grouping) must \
+         cut join probes ≥1.3x on ≥2 families over the greedy planned-once \
+         executor, answers byte-identical, with ≤2% wall drift where plans \
+         never change",
     );
 
     /// Canonical sorted dump, as in E14: plans and execution strategy may
@@ -1485,7 +1486,11 @@ fn e16_adaptive(bench: &mut Bench) {
             let run = |adaptive: bool| {
                 let s = generate(seed);
                 let mut db = s.db;
-                let plan = dl::DeltaPlan::new(&s.rules);
+                let plan = if adaptive {
+                    dl::DeltaPlan::planned(&s.rules, &db)
+                } else {
+                    dl::DeltaPlan::new(&s.rules)
+                };
                 let mut eval = dl::IncrementalEval::new()
                     .with_threads(1)
                     .with_adaptive(adaptive);
@@ -1633,11 +1638,10 @@ fn e16_adaptive(bench: &mut Bench) {
         );
     }
     println!(
-        "expected shape: skew/dense-style families win big (the round-one \
-         planning pass recovers E14's cost orders without pre-planning, \
-         drift re-plans keep them honest as deltas shift, shared prefixes \
-         collapse duplicate scans); tc/counter stay within noise since \
-         their written orders never change\n"
+        "expected shape: skew/dense-style families win big (the cost \
+         planner's orders, drift re-plans should deltas shift, shared \
+         prefixes collapsing duplicate scans); tc/counter stay within noise \
+         since their written orders never change\n"
     );
 }
 

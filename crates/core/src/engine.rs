@@ -55,6 +55,13 @@ struct Entry {
 /// relational store) grows monotonically, and the uniform least fixpoint is
 /// monotone in its seed, so a row that was true of an earlier, smaller
 /// input is still true of the final one.
+///
+/// A context owns data and low-water marks only, never a plan: every
+/// context runs [`CompiledProgram::star_plan`] / `fixed_plan`, compiled
+/// once per program and shared by reference. The evaluator does not
+/// re-plan at run start, so the many small fixpoints pay no per-context
+/// planning; only observed drift (past the evaluator's work threshold)
+/// can install a context-local re-plan.
 #[derive(Default)]
 struct LocalCtx {
     db: dl::Database,

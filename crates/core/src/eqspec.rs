@@ -29,9 +29,14 @@ use fundb_term::{Cst, Func, FuncOrder, Interner, Pred};
 /// An equational specification `(B, R)`.
 #[derive(Clone)]
 pub struct EqSpec {
-    /// Depth of the largest ground term (`c`); terms of depth ≤ c are
-    /// looked up directly in `B`.
+    /// Depth of the largest ground term (`c`).
     pub c: usize,
+    /// Terms shorter than this are singleton classes of `Cl(R)`, looked up
+    /// directly in `B`; only representatives at least this deep are
+    /// congruence candidates. `c + 1` for Algorithm Q's own output (every
+    /// equation side is deeper than `c`); shallower when a minimized
+    /// specification merged shallow terms (see [`EqSpec::from_graph`]).
+    pub(crate) shallow_below: usize,
     /// Function symbols.
     pub funcs: FuncOrder,
     /// Primary database `B`: representative terms (as symbol paths) with
@@ -60,6 +65,12 @@ impl EqSpec {
     /// assert!(ws.holds_eq(&mut eq, "Even(4)").unwrap());   // (2,4) ∈ Cl(R)
     /// assert!(!ws.holds_eq(&mut eq, "Even(3)").unwrap());
     /// ```
+    ///
+    /// Works on [`GraphSpec::minimized`] output too. Minimization can merge
+    /// terms of depth ≤ c and pick shallow representatives, so the
+    /// singleton depth is the shortest equation side minus one (a term
+    /// shorter than every side is congruent only to itself, and every such
+    /// term is a representative in `B`), capped at `c`.
     pub fn from_graph(spec: &GraphSpec) -> EqSpec {
         let primary: Vec<(Vec<Func>, State)> = spec
             .nodes
@@ -80,8 +91,10 @@ impl EqSpec {
         for (a, b) in &equations {
             cc.equate_paths(a, b);
         }
+        let shortest_side = equations.iter().map(|(a, b)| a.len().min(b.len())).min();
         EqSpec {
             c: spec.c,
+            shallow_below: shortest_side.map_or(spec.c + 1, |d| d.min(spec.c + 1)),
             funcs: spec.funcs.clone(),
             primary,
             equations,
@@ -111,7 +124,7 @@ impl EqSpec {
         let Some(id) = self.atoms.get(pred, args) else {
             return false;
         };
-        if path.len() <= self.c {
+        if path.len() < self.shallow_below {
             // Shallow terms are singleton clusters: direct lookup.
             return self
                 .primary
@@ -122,7 +135,7 @@ impl EqSpec {
         let candidates: Vec<Vec<Func>> = self
             .primary
             .iter()
-            .filter(|(t, s)| t.len() > self.c && s.contains(id))
+            .filter(|(t, s)| t.len() >= self.shallow_below && s.contains(id))
             .map(|(t, _)| t.clone())
             .collect();
         let q = self.cc.term(path);

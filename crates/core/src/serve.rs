@@ -547,9 +547,10 @@ impl FrozenGraphSpec {
 /// `(class, suffix)` walk).
 #[derive(Clone)]
 pub struct FrozenEqSpec {
-    /// Depth of the largest ground term (`c`).
-    c: usize,
-    /// Slices of the shallow (depth ≤ c) representatives, by exact path.
+    /// Terms shorter than this are singleton classes (see
+    /// [`EqSpec::from_graph`]).
+    shallow_below: usize,
+    /// Slices of the shallow representatives, by exact path.
     shallow: FxHashMap<Box<[Func]>, State>,
     /// Union of the slices of the deep representatives in each congruence
     /// class of the frozen closure. (Distinct representatives normally have
@@ -571,7 +572,7 @@ impl EqSpec {
         let deep_nodes: Vec<(fundb_term::NodeId, &State)> = self
             .primary
             .iter()
-            .filter(|(t, _)| t.len() > self.c)
+            .filter(|(t, _)| t.len() >= self.shallow_below)
             .map(|(t, s)| (cc.term(t), s))
             .collect();
         let closure = cc.freeze();
@@ -582,11 +583,11 @@ impl EqSpec {
         let shallow = self
             .primary
             .iter()
-            .filter(|(t, _)| t.len() <= self.c)
+            .filter(|(t, _)| t.len() < self.shallow_below)
             .map(|(t, s)| (t.clone().into_boxed_slice(), s.clone()))
             .collect();
         FrozenEqSpec {
-            c: self.c,
+            shallow_below: self.shallow_below,
             shallow,
             deep,
             closure,
@@ -606,7 +607,7 @@ impl FrozenEqSpec {
         let Some(id) = self.atoms.get(pred, args) else {
             return false;
         };
-        if path.len() <= self.c {
+        if path.len() < self.shallow_below {
             return self.shallow.get(path).is_some_and(|s| s.contains(id));
         }
         let canon = self.closure.canon_path(path);

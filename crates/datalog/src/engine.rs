@@ -207,29 +207,10 @@ pub struct DeltaPlan {
 }
 
 impl DeltaPlan {
-    /// Builds the plan for a rule set, compiling every rule.
+    /// Builds the plan for a rule set, compiling every rule with the
+    /// static greedy atom order (most bound positions first).
     pub fn new(rules: &[Rule]) -> DeltaPlan {
-        let mut by_pred: FxHashMap<Pred, Vec<(u32, u32)>> = FxHashMap::default();
-        for (ri, rule) in rules.iter().enumerate() {
-            for (ai, atom) in rule.body.iter().enumerate() {
-                by_pred
-                    .entry(atom.pred)
-                    .or_default()
-                    .push((ri as u32, ai as u32));
-            }
-        }
-        let programs: Vec<CompiledRule> = rules.iter().map(CompiledRule::new).collect();
-        let mut demands = Vec::new();
-        for cr in &programs {
-            cr.demands(&mut demands);
-        }
-        demands.sort_unstable();
-        demands.dedup();
-        DeltaPlan {
-            by_pred,
-            programs,
-            demands,
-        }
+        DeltaPlan::from_programs(rules, rules.iter().map(CompiledRule::new).collect())
     }
 
     /// Builds the plan with the cardinality cost model: per-rule atom
@@ -242,6 +223,15 @@ impl DeltaPlan {
     /// same greedy order as [`DeltaPlan::new`].
     pub fn planned(rules: &[Rule], db: &Database) -> DeltaPlan {
         let stats = db.plan_stats();
+        let programs = rules
+            .iter()
+            .map(|r| CompiledRule::with_stats(r, &stats))
+            .collect();
+        DeltaPlan::from_programs(rules, programs)
+    }
+
+    /// Indexes `rules` by body predicate around their compiled programs.
+    fn from_programs(rules: &[Rule], programs: Vec<CompiledRule>) -> DeltaPlan {
         let mut by_pred: FxHashMap<Pred, Vec<(u32, u32)>> = FxHashMap::default();
         for (ri, rule) in rules.iter().enumerate() {
             for (ai, atom) in rule.body.iter().enumerate() {
@@ -251,10 +241,6 @@ impl DeltaPlan {
                     .push((ri as u32, ai as u32));
             }
         }
-        let programs: Vec<CompiledRule> = rules
-            .iter()
-            .map(|r| CompiledRule::with_stats(r, &stats))
-            .collect();
         let mut demands = Vec::new();
         for cr in &programs {
             cr.demands(&mut demands);
@@ -345,8 +331,9 @@ pub struct IncrementalEval {
     governor: Governor,
     /// Adaptive execution (mid-run re-planning + shared-prefix groups).
     adaptive: bool,
-    /// Per-rule plan overrides installed by mid-run re-plans; `None`
-    /// entries fall through to the `DeltaPlan`'s compiled programs.
+    /// Per-rule plan overrides installed by mid-run re-plans (empty until
+    /// the first one); `None` and missing entries fall through to the
+    /// `DeltaPlan`'s compiled programs.
     overrides: Vec<Option<CompiledRule>>,
     /// The statistics snapshot the current plans were estimated against
     /// (plan-time stats until the first re-plan, live stats after).
@@ -436,10 +423,13 @@ impl IncrementalEval {
         &self.governor
     }
 
-    /// Enables/disables adaptive execution (on by default): live-stats
-    /// re-planning at round boundaries and shared-prefix task groups.
-    /// `false` reproduces the planned-once PR 6/7 execution exactly.
-    /// Builder form.
+    /// Enables/disables adaptive execution (on by default): drift
+    /// re-planning from live stats at round boundaries, and shared-prefix
+    /// task groups. Adaptivity never re-plans at run start — the plan's
+    /// atom orders are the ones its builder chose ([`DeltaPlan::new`] or
+    /// [`DeltaPlan::planned`]) until a rule's observed probes drift past
+    /// the estimate band. `false` runs the plan exactly as built, with no
+    /// grouping. Builder form.
     pub fn with_adaptive(mut self, adaptive: bool) -> Self {
         self.set_adaptive(adaptive);
         self
@@ -578,40 +568,14 @@ impl IncrementalEval {
                 }
             }
         }
-        if self.adaptive {
-            if self.overrides.len() < rules.len() {
-                self.overrides.resize_with(rules.len(), || None);
-            }
-            if self.est_stats.is_none() {
-                // Baseline for drift detection: the same kind of snapshot
-                // the plan was compiled from. The first re-plan replaces it
-                // with a live (delta-aware) snapshot.
-                let est = db.plan_stats();
-                // Round-one planning pass: a greedy-compiled plan adopts
-                // the cost model's order wherever the snapshot says it is
-                // strictly better (the hysteresis margin lives inside
-                // `cost_order`). Plans already compiled from equivalent
-                // statistics recompile to themselves, so this is a no-op
-                // for `DeltaPlan::planned` callers. Coordinator-only and
-                // driven purely by the snapshot: thread counts cannot
-                // influence it.
-                for (ri, rule) in rules.iter().enumerate() {
-                    let recompiled = CompiledRule::with_stats(rule, &est);
-                    if let Some((old_order, new_order)) =
-                        changed_orders(&plan.programs[ri], &recompiled)
-                    {
-                        stats.replans += 1;
-                        self.replan_log.push(ReplanEvent {
-                            round: 1,
-                            rule: ri,
-                            old_order,
-                            new_order,
-                        });
-                        self.overrides[ri] = Some(recompiled);
-                    }
-                }
-                self.est_stats = Some(est);
-            }
+        // One planning path: `plan`'s atom orders are the ones its builder
+        // chose and change only on observed drift below. A run never
+        // re-plans at start, so a plan shared by many evaluators (the
+        // functional engine's per-node contexts) is compiled exactly once.
+        // The drift baseline is a plan-time snapshot; the first re-plan
+        // replaces it with a live (delta-aware) one.
+        if self.adaptive && self.est_stats.is_none() {
+            self.est_stats = Some(db.plan_stats());
         }
         // Shared-prefix grouping is disabled under `panic_task` faults: the
         // fault addresses one deterministic task index, and a group would
@@ -658,8 +622,10 @@ impl IncrementalEval {
                 let live = db.plan_stats_live(|p| marks.get(&p).copied().unwrap_or(0));
                 for ri in std::mem::take(&mut self.drifted) {
                     let recompiled = CompiledRule::with_stats(&rules[ri as usize], &live);
-                    let current = self.overrides[ri as usize]
-                        .as_ref()
+                    let current = self
+                        .overrides
+                        .get(ri as usize)
+                        .and_then(Option::as_ref)
                         .unwrap_or(&plan.programs[ri as usize]);
                     if let Some((old_order, new_order)) = changed_orders(current, &recompiled) {
                         stats.replans += 1;
@@ -669,6 +635,9 @@ impl IncrementalEval {
                             old_order,
                             new_order,
                         });
+                        if self.overrides.len() < rules.len() {
+                            self.overrides.resize_with(rules.len(), || None);
+                        }
                         self.overrides[ri as usize] = Some(recompiled);
                     }
                 }
@@ -2066,20 +2035,25 @@ mod tests {
         assert_eq!(stale_db.dump(&fx.i), greedy_db.dump(&fx.i));
     }
 
+    /// A planned plan runs byte-identically at every thread count, and its
+    /// atom orders are final: with delta rounds big enough for the drift
+    /// detector to look (≥ `DRIFT_MIN_PROBES` per rule), an adaptive run
+    /// logs no re-plan — nothing re-plans at run start.
     #[test]
     fn planned_plan_is_deterministic_across_thread_counts() {
         let mut fx = fixture();
         let rules = transitive_closure_rules(&fx);
-        let base = chain_db(&mut fx, 16);
+        let base = chain_db(&mut fx, 2 * DRIFT_MIN_PROBES);
         let plan = DeltaPlan::planned(&rules, &base);
         let mut reference: Option<(Vec<String>, EvalStats)> = None;
         for threads in [1usize, 2, 4, 8] {
             let mut db = base.clone();
-            let stats = IncrementalEval::new()
+            let mut eval = IncrementalEval::new()
                 .with_threads(threads)
-                .with_parallel_threshold(1)
-                .run(&mut db, &rules, &plan)
-                .unwrap();
+                .with_parallel_threshold(1);
+            let stats = eval.run(&mut db, &rules, &plan).unwrap();
+            assert_eq!(stats.replans, 0, "threads={threads} re-planned");
+            assert_eq!(eval.replan_history(), &[]);
             let dump = db.dump(&fx.i);
             match &reference {
                 None => reference = Some((dump, stats)),

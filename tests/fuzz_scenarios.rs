@@ -773,6 +773,39 @@ fn cyclic_planned_probes_never_exceed_greedy() {
     );
 }
 
+/// E16's probe totals over seeds 1–16, pinned exactly: the greedy plan run
+/// as built (adaptivity off) against the cost-planned plan run adaptively.
+/// A change that moves either side — planner, drift re-planning or
+/// shared-prefix grouping — must update this pin and E16 together.
+#[test]
+fn e16_adaptive_probe_totals_are_pinned() {
+    let pins: [(&str, scenariogen::ScenarioFn, usize, usize); 4] = [
+        ("skew", scenariogen::skew, 3154, 1059),
+        ("dense", scenariogen::dense, 3518, 2458),
+        ("bounded", scenariogen::bounded_depth, 1587, 981),
+        ("cyclic", scenariogen::cyclic, 7809, 7099),
+    ];
+    for (family, generate, off_pin, on_pin) in pins {
+        let (mut off, mut on) = (0usize, 0usize);
+        for seed in 1u64..=16 {
+            let s = generate(seed);
+            let mut db = s.db.clone();
+            off += dl::IncrementalEval::new()
+                .with_adaptive(false)
+                .run(&mut db, &s.rules, &dl::DeltaPlan::new(&s.rules))
+                .unwrap()
+                .join_probes;
+            let mut db = s.db.clone();
+            let plan = dl::DeltaPlan::planned(&s.rules, &db);
+            on += dl::IncrementalEval::new()
+                .run(&mut db, &s.rules, &plan)
+                .unwrap()
+                .join_probes;
+        }
+        assert_eq!((off, on), (off_pin, on_pin), "{family}: E16 probe totals");
+    }
+}
+
 /// Satellite: every historical counterexample seed committed in
 /// `tests/fuzz_scenarios.proptest-regressions` (and the differential
 /// suite's regression file) replays through *every* family on every
@@ -806,5 +839,62 @@ fn regression_seeds_replay_through_all_families() {
             check_relational(&f(seed));
         }
         check_temporal(&scenariogen::temporal(seed));
+    }
+}
+
+/// `EqSpec::from_graph` on a *minimized* graph specification: the
+/// bisimulation quotient merges terms of depth ≤ c and may pick shallow
+/// representatives, so the equational spec cannot take shallow terms for
+/// singleton classes. Mutable and frozen equational membership must agree
+/// with the graph specification on every sampled fact.
+#[test]
+fn eqspec_of_minimized_graphspec_agrees() {
+    for (name, mut ws, max_len) in [
+        ("binary_counter(7)", fundb_bench::binary_counter(7), 300),
+        ("subset_lists(5)", fundb_bench::subset_lists(5), 4),
+    ] {
+        let spec = ws.graph_spec().unwrap().minimized();
+        let mut eq = fundb_core::EqSpec::from_graph(&spec);
+        let frozen = eq.freeze();
+        let funcs = spec.funcs.symbols().to_vec();
+        // Every path up to `max_len` symbols long.
+        let mut paths: Vec<Vec<Func>> = vec![vec![]];
+        let mut frontier = paths.clone();
+        for _ in 0..max_len {
+            frontier = frontier
+                .iter()
+                .flat_map(|p| {
+                    funcs.iter().map(move |&f| {
+                        let mut q = p.clone();
+                        q.push(f);
+                        q
+                    })
+                })
+                .collect();
+            paths.extend(frontier.iter().cloned());
+        }
+        let atoms: Vec<(Pred, Vec<Cst>)> = spec
+            .atoms
+            .iter()
+            .map(|(_, p, args)| (p, args.to_vec()))
+            .collect();
+        let mut checked = 0usize;
+        for path in &paths {
+            for (pred, args) in &atoms {
+                let want = spec.holds(*pred, path, args);
+                assert_eq!(
+                    eq.holds(*pred, path, args),
+                    want,
+                    "{name}: EqSpec at {path:?}"
+                );
+                assert_eq!(
+                    frozen.holds(*pred, path, args),
+                    want,
+                    "{name}: frozen at {path:?}"
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 3000, "{name}: only {checked} facts sampled");
     }
 }

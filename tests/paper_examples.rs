@@ -434,3 +434,34 @@ fn theorem_5_1_incremental_solve_bounded_delta() {
     engine.solve().unwrap();
     assert_eq!(engine.stats(), &after);
 }
+
+/// The functional engine plans once per program: every top-region and
+/// uniform-seed context runs the program's shared star/fixed plans, and no
+/// context re-plans at run start. Pinned on the 8-bit binary counter (a
+/// lasso of period 256, solved through hundreds of small local fixpoints):
+/// zero re-plans, and the exact probe count of the shared greedy plans.
+#[test]
+fn engine_contexts_never_replan() {
+    let w = 8;
+    let mut src = String::from("B0(t) -> N0(t+1).\nN0(t) -> B0(t+1).\n");
+    for i in 1..w {
+        let low: Vec<String> = (0..i).map(|j| format!("B{j}(t)")).collect();
+        let low = low.join(", ");
+        src.push_str(&format!("{low}, B{i}(t) -> N{i}(t+1).\n"));
+        src.push_str(&format!("{low}, N{i}(t) -> B{i}(t+1).\n"));
+        for j in 0..i {
+            src.push_str(&format!("N{j}(t), B{i}(t) -> B{i}(t+1).\n"));
+            src.push_str(&format!("N{j}(t), N{i}(t) -> N{i}(t+1).\n"));
+        }
+    }
+    for i in 0..w {
+        src.push_str(&format!("N{i}(0).\n"));
+    }
+    let mut ws = Workspace::new();
+    ws.parse(&src).unwrap();
+    let mut engine = fundb_core::Engine::build(&ws.program, &ws.db, &mut ws.interner).unwrap();
+    engine.solve().unwrap();
+    let stats = engine.stats();
+    assert_eq!(stats.replans, 0);
+    assert_eq!(stats.join_probes, 6181);
+}
