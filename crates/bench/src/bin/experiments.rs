@@ -8,13 +8,13 @@
 //! targets.
 //!
 //! Every run also writes a machine-readable trajectory to
-//! `BENCH_pr12.json` (override with `FUNDB_BENCH_JSON`): one record per
+//! `BENCH_pr13.json` (override with `FUNDB_BENCH_JSON`): one record per
 //! experiment with its wall time, plus detailed records (rows/s, join
 //! probes, index hits/misses, threads) for the timed experiments. CI
 //! checks its exact counters against the previous committed trajectory
 //! with `scripts/check_bench.py --baseline`.
 
-use fundb_bench::{binary_counter, ring_planner, rotation, subset_lists};
+use fundb_bench::{binary_counter, median_pair, ring_planner, rotation, subset_lists};
 use fundb_core::{
     analysis, normalize, to_pure, BoundedMaterialization, CongrForm, DataParams, Engine, EqSpec,
     GraphSpec, Query, ServeQuery,
@@ -165,8 +165,8 @@ impl Bench {
     /// Writes the trajectory file and returns its path.
     fn write(&self) -> std::io::Result<String> {
         let path =
-            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr12.json".to_string());
-        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":12,\"records\":[\n");
+            std::env::var("FUNDB_BENCH_JSON").unwrap_or_else(|_| "BENCH_pr13.json".to_string());
+        let mut out = String::from("{\"schema\":\"fundb-bench-v1\",\"pr\":13,\"records\":[\n");
         out.push_str(&self.records.join(",\n"));
         out.push_str("\n]}\n");
         std::fs::write(&path, out)?;
@@ -1322,6 +1322,10 @@ fn e15_goal_directed(bench: &mut Bench) {
         "{:>14} {:>13} {:>13} {:>8} {:>9} {:>9} {:>9}",
         "workload", "full probes", "demand probes", "ratio", "full ms", "demand ms", "demanded"
     );
+    // Goals posed against the materialized fixpoint, printed after the
+    // main table: (workload, store rows, answers, query ms, demand ms,
+    // demand probes, demanded tuples).
+    let mut stored: Vec<(String, usize, usize, f64, f64, usize, usize)> = Vec::new();
     for (name, s, pname, args, gated) in workloads {
         let p = Pred(s.interner.get(&pname).unwrap());
         let row: Vec<Cst> = args
@@ -1379,6 +1383,49 @@ fn e15_goal_directed(bench: &mut Bench) {
             let mut demand_open = open_ans.rows.clone();
             demand_open.sort();
             assert_eq!(demand_open, full_open, "E15 {name}: open answers differ");
+
+            // The same goals over the stored fixpoint (a durable store that
+            // already ran its rules): the overlay reads `full_db`'s
+            // relations in place, so a goal costs its demand cone, not a
+            // copy of the store. Timed against the direct join `dl::query`
+            // over the stored relations, by interleaved median pairs.
+            for (adornment, goal, out) in
+                [("bb", &ground[..], &[][..]), ("bf", &open[..], &[y][..])]
+            {
+                let mut direct = dl::query(&full_db, goal, out).unwrap();
+                direct.sort();
+                let ans =
+                    dl::query_demand_tuned(&full_db, &s.rules, goal, out, &gov, Some(1), None)
+                        .unwrap();
+                let mut demand = ans.rows.clone();
+                demand.sort();
+                assert_eq!(
+                    demand, direct,
+                    "E15 {name} stored {adornment}: answers differ from dl::query"
+                );
+                let (query_ms, demand_ms) = median_pair(
+                    || {
+                        let t = Instant::now();
+                        dl::query(&full_db, goal, out).unwrap();
+                        t.elapsed().as_secs_f64() * 1e3
+                    },
+                    || {
+                        let t = Instant::now();
+                        dl::query_demand_tuned(&full_db, &s.rules, goal, out, &gov, Some(1), None)
+                            .unwrap();
+                        t.elapsed().as_secs_f64() * 1e3
+                    },
+                );
+                stored.push((
+                    format!("{name} stored {adornment}"),
+                    full_db.fact_count(),
+                    direct.len(),
+                    query_ms,
+                    demand_ms,
+                    ans.stats.join_probes,
+                    ans.stats.demanded_tuples,
+                ));
+            }
         }
 
         let full_probes = full_stats.join_probes as f64;
@@ -1417,11 +1464,41 @@ fn e15_goal_directed(bench: &mut Bench) {
         );
     }
     println!(
+        "\n{:>24} {:>10} {:>8} {:>9} {:>10} {:>13} {:>9}",
+        "stored-fixpoint goal",
+        "store rows",
+        "answers",
+        "query ms",
+        "demand ms",
+        "demand probes",
+        "demanded"
+    );
+    for (name, store_rows, answers, query_ms, demand_ms, probes, demanded) in stored {
+        println!(
+            "{name:>24} {store_rows:>10} {answers:>8} {query_ms:>9.3} {demand_ms:>10.3} {probes:>13} {demanded:>9}"
+        );
+        bench.push(
+            "E15",
+            &name,
+            &[
+                ("store_rows", store_rows as f64),
+                ("answers", answers as f64),
+                ("query_ms", query_ms),
+                ("demand_ms", demand_ms),
+                ("demand_probes", probes as f64),
+                ("demanded_tuples", demanded as f64),
+            ],
+        );
+    }
+    println!(
         "expected shape: demand probes grow O(depth) on the tc point queries \
          while the full fixpoint pays O(depth²) — ratio ≥5x gated there; \
          bounded is the deliberate counterpoint: its dense layers make the \
          demand cone cover nearly the whole database, so the rewrite's \
-         overhead loses and the no-op fallback heuristics matter\n"
+         overhead loses and the no-op fallback heuristics matter. Over a \
+         stored fixpoint a goal's demand wall tracks its demand cone, not \
+         the store's row count; tc_right bf is the exception by design, \
+         its cone demands every node's closure (ungated: wall times)\n"
     );
 }
 
@@ -1558,27 +1635,10 @@ fn e16_adaptive(bench: &mut Bench) {
     // Wall-clock guard on the established workloads: tc_chain/tc_right
     // written orders are already what the cost model picks and counter(8)
     // runs through the general engine's small local evaluations — adaptive
-    // bookkeeping must stay ≤2% there. One untimed warmup per arm
-    // (first-touch pages and allocator arenas dominate the first run and
-    // would otherwise land on whichever arm goes first), then 21 interleaved
-    // off/on pairs. The reported delta is the MEDIAN of per-pair deltas:
-    // the two runs of a pair are adjacent in time so slow frequency drift
-    // cancels inside each pair, and the median rejects the scheduler
-    // outliers that a min-of estimator chases (E12/E14 time arms that
-    // differ by whole join orders, where min-of-7 is fine; here both arms
-    // run the same plan and the signal is a sub-noise bookkeeping cost).
-    fn median_pair(mut off: impl FnMut() -> f64, mut on: impl FnMut() -> f64) -> (f64, f64) {
-        off();
-        on();
-        let mut pairs: Vec<(f64, f64)> = (0..21).map(|_| (off(), on())).collect();
-        pairs.sort_by(|a, b| {
-            let da = (a.1 - a.0) / a.0.max(1e-9);
-            let db = (b.1 - b.0) / b.0.max(1e-9);
-            da.partial_cmp(&db).unwrap()
-        });
-        pairs[pairs.len() / 2]
-    }
-
+    // bookkeeping must stay ≤2% there. Timed by `median_pair`: both arms
+    // run the same plan and the signal is a sub-noise bookkeeping cost
+    // (E12/E14 time arms that differ by whole join orders, where min-of-7
+    // is fine).
     println!(
         "{:>16} {:>14} {:>14} {:>10}",
         "workload", "off (ms)", "on (ms)", "delta"
@@ -1717,20 +1777,6 @@ fn e17_durability(bench: &mut Bench) {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    /// Interleaved pairs, median by relative delta (see E16): one warm-up
-    /// pair, then 21 alternating (plain, WAL-on) runs.
-    fn median_pair(mut base: impl FnMut() -> f64, mut wal: impl FnMut() -> f64) -> (f64, f64) {
-        base();
-        wal();
-        let mut pairs: Vec<(f64, f64)> = (0..21).map(|_| (base(), wal())).collect();
-        pairs.sort_by(|a, b| {
-            let da = (a.1 - a.0) / a.0.max(1e-9);
-            let db = (b.1 - b.0) / b.0.max(1e-9);
-            da.partial_cmp(&db).unwrap()
-        });
-        pairs[pairs.len() / 2]
     }
 
     type Gen = fn() -> (
@@ -1950,6 +1996,18 @@ fn e18_churn(bench: &mut Bench) {
         )
     };
 
+    // `Database::clone` shares relations copy-on-write, so the first write
+    // to each shared relation copies it. The incremental arms below take
+    // their private copies before the clock starts, so a timed op pays for
+    // its maintenance only, not for copying the relation it touches.
+    let private_copy = |db: &dl::Database| -> dl::Database {
+        let mut out = db.clone();
+        for (p, rel) in db.iter() {
+            out.relation_mut(p, rel.arity());
+        }
+        out
+    };
+
     // ---- Part 1: the churn mix table. -----------------------------------
     // Ops beyond the cap are dropped (printed, not silent): the rebuild arm
     // re-evaluates the whole fixpoint per op, and 20 ops per cell already
@@ -1986,7 +2044,7 @@ fn e18_churn(bench: &mut Bench) {
 
             // Incremental arm: one fixpoint, then per-op maintenance.
             let plan = dl::DeltaPlan::planned(&s.rules, &s.db);
-            let mut db = s.db.clone();
+            let mut db = private_copy(&s.db);
             let mut eval = dl::IncrementalEval::new().with_threads(1);
             eval.run(&mut db, &s.rules, &plan).unwrap();
             let mut retractions = 0u64;
@@ -2087,7 +2145,7 @@ fn e18_churn(bench: &mut Bench) {
     let mut rebuild_best = f64::INFINITY;
     let mut cone = 0usize;
     for _ in 0..5 {
-        let mut db = fixed.clone();
+        let mut db = private_copy(&fixed);
         let t0 = Instant::now();
         let out = db.retract_fact(p, &row, &s.rules, &plan);
         incr_best = incr_best.min(t0.elapsed().as_secs_f64() * 1e3);

@@ -22,6 +22,26 @@ use std::fmt::Write as _;
 
 pub mod scenariogen;
 
+/// Times two arms as interleaved pairs and returns the pair with the
+/// median relative delta `(b - a) / a`, as `(a_ms, b_ms)`. One untimed
+/// warm-up per arm first (first-touch pages and allocator arenas dominate
+/// the first run and would otherwise land on whichever arm goes first),
+/// then 21 `(a, b)` pairs. The two runs of a pair are adjacent in time, so
+/// slow frequency drift cancels inside each pair, and the median rejects
+/// the scheduler outliers a min-of estimator chases. Each arm returns its
+/// own wall time in milliseconds.
+pub fn median_pair(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64) {
+    a();
+    b();
+    let mut pairs: Vec<(f64, f64)> = (0..21).map(|_| (a(), b())).collect();
+    pairs.sort_by(|x, y| {
+        let dx = (x.1 - x.0) / x.0.max(1e-9);
+        let dy = (y.1 - y.0) / y.0.max(1e-9);
+        dx.partial_cmp(&dy).unwrap()
+    });
+    pairs[pairs.len() / 2]
+}
+
 /// One fact rotating through `k` participants (`Meets` with `k` students):
 /// period-`k` temporal program, linear-size specification.
 pub fn rotation(k: usize) -> Workspace {

@@ -847,23 +847,7 @@ impl IncrementalEval {
             }
             pending.clear();
 
-            let mut changed = false;
-            for (p, t) in buffer.iter() {
-                if db.insert_derived(p, t) {
-                    changed = true;
-                    stats.derived += 1;
-                    if !gov.note_row() {
-                        // Exactly `max_rows` rows were inserted: the merge
-                        // is sequential and in task order, so this cut is
-                        // a deterministic prefix of the unbudgeted
-                        // insertion sequence at any thread count.
-                        return Err(EvalError::BudgetExhausted {
-                            resource: Resource::Rows,
-                            partial: stats,
-                        });
-                    }
-                }
-            }
+            let changed = merge_derived(db, &buffer, &gov, &mut stats)?;
             // Round boundary: the merge is complete and `stats` describes
             // exactly the committed state, so this is the durable-log
             // checkpoint. The round's inserted rows are handed over as
@@ -979,12 +963,48 @@ impl DerivedBuffer {
             .extend(other.heads.iter().map(|&(p, s, a)| (p, s + shift, a)));
     }
 
-    /// Derived rows in firing order.
-    fn iter(&self) -> impl Iterator<Item = (Pred, &[Cst])> {
-        self.heads
-            .iter()
-            .map(|&(p, s, a)| (p, &self.data[s as usize..(s + a) as usize]))
+    /// Derived rows in firing order, as maximal runs of one predicate
+    /// `(pred, arity, rows)`, so a merge looks each run's relation up once
+    /// rather than once per row.
+    fn runs(&self) -> impl Iterator<Item = (Pred, usize, impl Iterator<Item = &[Cst]>)> {
+        self.heads.chunk_by(|x, y| x.0 == y.0).map(|run| {
+            let rows = run
+                .iter()
+                .map(|&(_, s, a)| &self.data[s as usize..(s + a) as usize]);
+            (run[0].0, run[0].2 as usize, rows)
+        })
     }
+}
+
+/// Inserts a round's derived rows into `db` in firing order (the
+/// deterministic task-order merge), counting `derived`; returns whether
+/// anything was new. A row budget stops the merge right after the row that
+/// exhausts it: the merge is sequential and in task order, so the cut is a
+/// deterministic prefix of the unbudgeted insertion sequence at any thread
+/// count.
+fn merge_derived(
+    db: &mut Database,
+    buffer: &DerivedBuffer,
+    gov: &Governor,
+    stats: &mut EvalStats,
+) -> Result<bool, EvalError> {
+    let mut changed = false;
+    for (p, arity, rows) in buffer.runs() {
+        let rel = db.relation_mut(p, arity);
+        for t in rows {
+            if rel.insert_derived(t) {
+                changed = true;
+                stats.derived += 1;
+                if !gov.note_row() {
+                    return Err(EvalError::BudgetExhausted {
+                        resource: Resource::Rows,
+                        partial: *stats,
+                    });
+                }
+            }
+        }
+    }
+    Ok(changed)
 }
 
 /// Why a round stopped before all of its tasks completed. The round's
@@ -1486,19 +1506,7 @@ pub fn evaluate_naive_governed(
             buffer.absorb(buf);
             stats.absorb(st);
         }
-        let mut changed = false;
-        for (p, t) in buffer.iter() {
-            if db.insert_derived(p, t) {
-                changed = true;
-                stats.derived += 1;
-                if !governor.note_row() {
-                    return Err(EvalError::BudgetExhausted {
-                        resource: Resource::Rows,
-                        partial: stats,
-                    });
-                }
-            }
-        }
+        let changed = merge_derived(db, &buffer, governor, &mut stats)?;
         if !changed {
             return Ok(stats);
         }
@@ -1623,8 +1631,14 @@ pub struct DemandAnswer {
 /// `evaluate(db.clone(), rules)` followed by [`query`] — the differential
 /// fuzz harness pins that — but only the goal-reachable cone is derived.
 ///
+/// The overlay shares `db`'s relations copy-on-write (see [`Database`]): it
+/// reads them in place and copies one only if the rewritten program
+/// writes it, so over a stored fixpoint a goal costs its demand cone, not
+/// O(store).
+///
 /// Degenerate goals fall back transparently: an all-free goal materializes
-/// the full fixpoint into the overlay; a goal over EDB (or missing)
+/// the full fixpoint into the overlay (a clone of `db`, which copies only
+/// the relations the fixpoint grows); a goal over EDB (or missing)
 /// predicates only is answered by a direct join against `db`.
 pub fn query_demand(
     db: &Database,
@@ -1676,21 +1690,7 @@ pub fn query_demand_tuned(
     };
     let mut stats = EvalStats::default();
     if let Some(mp) = crate::magic::magic_rewrite(rules, body) {
-        // Seed the overlay with exactly the base relations the rewritten
-        // program references, in first-reference order (deterministic row
-        // ids), plus the ground magic seeds from the goal's constants.
-        let mut scratch = Database::new();
-        for p in mp.base_preds() {
-            if let Some(rel) = db.relation(p) {
-                let dst = scratch.relation_mut(p, rel.arity());
-                for row in rel.rows() {
-                    dst.insert(row);
-                }
-            }
-        }
-        for (p, row) in &mp.seeds {
-            scratch.insert(*p, row);
-        }
+        let mut scratch = demand_overlay(db, &mp);
         stats.magic_rules = mp.magic_rule_count;
         let (run_stats, replan_events) = overlay_eval(&mut scratch, &mp.rules)?;
         stats.absorb(run_stats);
@@ -1734,6 +1734,23 @@ pub fn query_demand_tuned(
             })
         }
     }
+}
+
+/// The overlay a magic rewrite `mp` of a goal over `db` is evaluated in:
+/// exactly the base relations the rewritten program references, shared
+/// with `db` rather than copied, plus the ground magic seeds from the
+/// goal's constants. A rewritten rule that writes a base predicate (a
+/// verbatim copy demanded unadorned) copies that one relation on its
+/// first insert, so `db` is never mutated.
+fn demand_overlay(db: &Database, mp: &crate::magic::MagicProgram) -> Database {
+    let mut scratch = Database::new();
+    for p in mp.base_preds() {
+        scratch.share_relation(db, p);
+    }
+    for (p, row) in &mp.seeds {
+        scratch.insert(*p, row);
+    }
+    scratch
 }
 
 #[cfg(test)]
@@ -1911,10 +1928,13 @@ pub fn evaluate_naive_interpreted(db: &mut Database, rules: &[Rule]) -> EvalStat
             join_rec(db, rule, 0, None, &mut subst, &mut buffer, &mut stats);
         }
         let mut changed = false;
-        for (p, t) in buffer.iter() {
-            if db.insert_derived(p, t) {
-                changed = true;
-                stats.derived += 1;
+        for (p, arity, rows) in buffer.runs() {
+            let rel = db.relation_mut(p, arity);
+            for t in rows {
+                if rel.insert_derived(t) {
+                    changed = true;
+                    stats.derived += 1;
+                }
             }
         }
         if !changed {
@@ -2808,6 +2828,69 @@ mod tests {
         query_demand(&db, &rules, &body, &[fx.y]).unwrap();
         assert_eq!(db.dump(&fx.i), before);
         assert!(db.relation(fx.path).is_none());
+    }
+
+    /// The overlay of a materialized store reads the store's relations in
+    /// place: evaluating tc goals clones no base relation and leaves the
+    /// base byte-identical, and a rewrite that writes a base predicate
+    /// copies only that relation.
+    #[test]
+    fn demand_overlay_shares_the_store_copy_on_write() {
+        let mut fx = fixture();
+        let mut rules = transitive_closure_rules(&fx);
+        let mut db = chain_db(&mut fx, 16);
+        evaluate(&mut db, &rules).unwrap();
+        let before = db.dump(&fx.i);
+        let v0 = Cst(fx.i.get("v0").unwrap());
+        let v9 = Cst(fx.i.get("v9").unwrap());
+        // The overlay evaluated as `query_demand` evaluates it.
+        let overlay = |db: &Database, rules: &[Rule], body: &[Atom]| {
+            let mp = crate::magic::magic_rewrite(rules, body).expect("goal-directed");
+            let mut scratch = demand_overlay(db, &mp);
+            let plan = DeltaPlan::planned(&mp.rules, &scratch);
+            IncrementalEval::new()
+                .run(&mut scratch, &mp.rules, &plan)
+                .unwrap();
+            scratch
+        };
+        let bound_free = [Atom::new(fx.path, vec![Term::Const(v0), Term::Var(fx.y)])];
+        let bound_bound = [Atom::new(fx.path, vec![Term::Const(v0), Term::Const(v9)])];
+        for body in [&bound_free[..], &bound_bound[..]] {
+            let scratch = overlay(&db, &rules, body);
+            assert!(scratch.shares_relation(&db, fx.edge), "Edge was copied");
+            assert!(scratch.shares_relation(&db, fx.path), "Path was copied");
+            let out: Vec<Var> = body.iter().flat_map(Atom::vars).collect();
+            let ans = query_demand(&db, &rules, body, &out).unwrap();
+            assert_eq!(sorted(ans.rows), sorted(query(&db, body, &out).unwrap()));
+        }
+        assert_eq!(db.dump(&fx.i), before);
+
+        // Path(y, z), Edge(z, x) → Q(x): under the goal Q(v9) the Path atom
+        // has no bound argument, so Path's rules are copied verbatim into
+        // the rewrite and write the base predicate Path.
+        let q = Pred(fx.i.intern("Q"));
+        rules.push(Rule::new(
+            Atom::new(q, vec![Term::Var(fx.x)]),
+            vec![
+                Atom::new(fx.path, vec![Term::Var(fx.y), Term::Var(fx.z)]),
+                Atom::new(fx.edge, vec![Term::Var(fx.z), Term::Var(fx.x)]),
+            ],
+        ));
+        evaluate(&mut db, &rules).unwrap();
+        let before = db.dump(&fx.i);
+        let goal = [Atom::new(q, vec![Term::Const(v9)])];
+        let mp = crate::magic::magic_rewrite(&rules, &goal).expect("goal-directed");
+        assert!(mp.rules.iter().any(|r| r.head.pred == fx.path));
+        let scratch = overlay(&db, &rules, &goal);
+        assert!(scratch.shares_relation(&db, fx.edge), "Edge was copied");
+        assert!(scratch.shares_relation(&db, q), "Q was copied");
+        assert!(
+            !scratch.shares_relation(&db, fx.path),
+            "Path was written in place"
+        );
+        let ans = query_demand(&db, &rules, &goal, &[]).unwrap();
+        assert_eq!(ans.rows, vec![Vec::<Cst>::new()]);
+        assert_eq!(db.dump(&fx.i), before);
     }
 
     #[test]

@@ -37,9 +37,11 @@
 //! avoids zero-arity magic relations.
 //!
 //! The rewritten program is evaluated into a *scratch overlay* database by
-//! [`crate::engine::query_demand`]; the base database is never mutated, so
-//! demand-driven answering composes with concurrent readers and with the
-//! frozen-spec serving layer. Synthetic predicates are minted past every
+//! [`crate::engine::query_demand`]. The overlay shares the base relations
+//! copy-on-write instead of copying them, so a goal over a stored fixpoint
+//! costs its demand cone rather than the store's size; the base database
+//! is never mutated, so demand-driven answering composes with concurrent
+//! readers and with the frozen-spec serving layer. Synthetic predicates are minted past every
 //! interned symbol (see [`Sym::synthetic`]) and never leak out of the
 //! overlay.
 
@@ -104,7 +106,7 @@ enum SynthPred {
 }
 
 /// The result of a magic-set rewrite: a self-contained program whose
-/// evaluation over (a copy of) the base facts derives exactly the tuples
+/// evaluation over the base facts derives exactly the tuples
 /// demanded by the goal, plus the transformed query body to run over it.
 #[derive(Clone, Debug)]
 pub struct MagicProgram {
@@ -138,8 +140,9 @@ impl MagicProgram {
     }
 
     /// Every original (non-synthetic) predicate the rewritten program reads
-    /// or writes, in first-reference order. The overlay is seeded by copying
-    /// exactly these relations from the base database.
+    /// or writes, in first-reference order. The overlay starts from exactly
+    /// these relations of the base database, shared rather than copied (a
+    /// relation the program writes is copied on its first insert).
     pub fn base_preds(&self) -> Vec<Pred> {
         let mut seen = FxHashSet::default();
         let mut out = Vec::new();

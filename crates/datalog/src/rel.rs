@@ -11,6 +11,7 @@
 use fundb_term::{Cst, FxHashMap, FxHasher, Interner, Pred};
 use std::fmt;
 use std::hash::Hasher;
+use std::sync::Arc;
 
 /// An owned tuple of constants, used at API boundaries that must carry rows
 /// outside a relation (provenance records, staged insertions). Inside a
@@ -732,6 +733,15 @@ impl Relation {
         true
     }
 
+    /// Whether `sig` names every column. For such a signature
+    /// `hash_sig_cols(row, sig) == hash_row(row)`, so the dedup table
+    /// already is its composite index: nothing is built or stored for it,
+    /// and probes read `dedup` directly.
+    #[inline]
+    fn is_full_key(&self, sig: u64) -> bool {
+        sig.count_ones() as usize == self.arity()
+    }
+
     /// Membership test.
     pub fn contains(&self, t: &[Cst]) -> bool {
         if t.len() != self.arity() {
@@ -819,8 +829,15 @@ impl Relation {
     /// signature's bloom filter before the bucket lookup. A built index
     /// with no such key yields an empty bucket (or a bloom rejection, which
     /// the caller can count separately — both mean zero candidates).
+    /// Full-key signatures are answered from the dedup table (which has no
+    /// bloom filter, so they never report a rejection).
     #[inline]
     pub(crate) fn composite_probe(&self, sig: u64, key_hash: u64) -> CompositeProbe<'_> {
+        if self.is_full_key(sig) {
+            return CompositeProbe::Bucket(
+                self.dedup.get(&key_hash).map_or(&[][..], Vec::as_slice),
+            );
+        }
         let Some(map) = self.composite.get(&sig) else {
             return CompositeProbe::NotBuilt;
         };
@@ -834,10 +851,11 @@ impl Relation {
 
     /// Builds the composite index for `sig` if it does not exist yet.
     /// Single-column signatures are served by the always-present per-column
-    /// indexes, so nothing is built for them. Subsequent inserts maintain
-    /// the index incrementally.
+    /// indexes and full-key signatures by the dedup table, so nothing is
+    /// built for either. Subsequent inserts maintain the index
+    /// incrementally.
     pub fn ensure_composite(&mut self, sig: u64) {
-        if sig.count_ones() <= 1 || self.composite.contains_key(&sig) {
+        if self.has_composite(sig) {
             return;
         }
         let mut map: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
@@ -855,9 +873,11 @@ impl Relation {
         self.blooms.insert(sig, bloom);
     }
 
-    /// Whether the composite index for `sig` has been built.
+    /// Whether probes on `sig` are fully covered: by a per-column index
+    /// (one column), the dedup table (every column), or a built composite
+    /// index.
     pub fn has_composite(&self, sig: u64) -> bool {
-        sig.count_ones() <= 1 || self.composite.contains_key(&sig)
+        sig.count_ones() <= 1 || self.is_full_key(sig) || self.composite.contains_key(&sig)
     }
 
     /// Answers a bound-column probe: `sig` names the bound columns and
@@ -873,6 +893,13 @@ impl Relation {
         if sig.count_ones() == 1 {
             let col = sig.trailing_zeros() as usize;
             let bucket = self.index[col].get(&key[0]).map_or(&[][..], Vec::as_slice);
+            return Probe::Index(bucket);
+        }
+        if self.is_full_key(sig) {
+            let bucket = self
+                .dedup
+                .get(&hash_key(key))
+                .map_or(&[][..], Vec::as_slice);
             return Probe::Index(bucket);
         }
         if let Some(map) = self.composite.get(&sig) {
@@ -1085,9 +1112,17 @@ impl PlanStats {
 }
 
 /// A database: one [`Relation`] per predicate, created on demand.
+///
+/// Relations are copy-on-write. Cloning a database is O(#relations): the
+/// clone shares every relation with the original. The first write to a
+/// shared relation through either database ([`Database::relation_mut`],
+/// an insert, a composite-index build, a compaction) gives the writer a
+/// private copy of that one relation, so the other database never sees
+/// the change. Reads never copy, which is what lets a goal-directed
+/// query's overlay borrow the store's relations in place.
 #[derive(Clone, Default)]
 pub struct Database {
-    relations: FxHashMap<Pred, Relation>,
+    relations: FxHashMap<Pred, Arc<Relation>>,
 }
 
 impl Database {
@@ -1097,18 +1132,38 @@ impl Database {
     }
 
     /// The relation for `p`, creating it (with `arity`) if absent.
+    /// A relation shared with another database is copied first.
     pub fn relation_mut(&mut self, p: Pred, arity: usize) -> &mut Relation {
         let rel = self
             .relations
             .entry(p)
-            .or_insert_with(|| Relation::new(arity));
+            .or_insert_with(|| Arc::new(Relation::new(arity)));
         assert_eq!(rel.arity(), arity, "predicate used with two arities");
-        rel
+        Arc::make_mut(rel)
     }
 
     /// The relation for `p`, if any tuple or declaration created it.
     pub fn relation(&self, p: Pred) -> Option<&Relation> {
-        self.relations.get(&p)
+        self.relations.get(&p).map(Arc::as_ref)
+    }
+
+    /// Makes `p`'s relation in `self` the very relation `from` holds (no
+    /// rows are copied); a later write through either side copies it
+    /// then. Absent in `from` leaves `self` unchanged.
+    pub(crate) fn share_relation(&mut self, from: &Database, p: Pred) {
+        if let Some(rel) = from.relations.get(&p) {
+            self.relations.insert(p, Arc::clone(rel));
+        }
+    }
+
+    /// Whether `self` and `other` hold the same (shared, uncopied)
+    /// relation for `p`.
+    #[cfg(test)]
+    pub(crate) fn shares_relation(&self, other: &Database, p: Pred) -> bool {
+        match (self.relations.get(&p), other.relations.get(&p)) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     /// Inserts an asserted (base) fact; returns `true` if new.
@@ -1126,19 +1181,24 @@ impl Database {
     /// rebuilding indexes and bloom filters); returns how many relations
     /// changed. Row ids are renumbered, so snapshot writers must persist
     /// in the same pass to keep on-disk and in-memory ids in lock-step.
+    /// Relations with nothing to drop are not touched (so not copied).
     pub fn compact(&mut self) -> usize {
         self.relations
             .values_mut()
-            .map(|r| usize::from(r.compact()))
+            .filter(|r| r.dead() > 0)
+            .map(|r| usize::from(Arc::make_mut(r).compact()))
             .sum()
     }
 
     /// Ensures `p`'s relation (if it exists) has the composite index for
     /// `sig`. Called by the evaluator before each round with the signatures
-    /// its compiled programs will probe.
+    /// its compiled programs will probe. A relation that already covers
+    /// `sig` is not touched (so not copied).
     pub fn ensure_composite(&mut self, p: Pred, sig: u64) {
         if let Some(rel) = self.relations.get_mut(&p) {
-            rel.ensure_composite(sig);
+            if !rel.has_composite(sig) {
+                Arc::make_mut(rel).ensure_composite(sig);
+            }
         }
     }
 
@@ -1149,19 +1209,19 @@ impl Database {
 
     /// Total number of live tuples across relations.
     pub fn fact_count(&self) -> usize {
-        self.relations.values().map(Relation::live).sum()
+        self.relations.values().map(|r| r.live()).sum()
     }
 
     /// Approximate resident bytes across relations (see
     /// [`Relation::approx_bytes`]); checked against the governor's byte
     /// budget at round boundaries.
     pub fn approx_bytes(&self) -> usize {
-        self.relations.values().map(Relation::approx_bytes).sum()
+        self.relations.values().map(|r| r.approx_bytes()).sum()
     }
 
     /// Iterates `(predicate, relation)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (Pred, &Relation)> {
-        self.relations.iter().map(|(&p, r)| (p, r))
+        self.relations.iter().map(|(&p, r)| (p, r.as_ref()))
     }
 
     /// Snapshots cardinality statistics for every non-empty relation, for
@@ -1190,13 +1250,24 @@ impl Database {
     /// distinct sketches accumulated since the last live snapshot (which
     /// this call clears). Used by the adaptive evaluator to re-plan at
     /// round boundaries without rescanning anything.
+    ///
+    /// A relation with no rows past its mark gets a plain
+    /// [`Relation::stats`] snapshot and keeps its sketch: the cost model
+    /// reads the sketch only when `delta_rows > 0`, and leaving it alone
+    /// keeps a relation shared with another database uncopied.
     pub fn plan_stats_live(&mut self, mark_of: impl Fn(Pred) -> usize) -> PlanStats {
         let mut per_pred = FxHashMap::default();
         let mut total_rows = 0;
         for (&p, rel) in self.relations.iter_mut() {
             if !rel.is_empty() {
                 total_rows += rel.live();
-                per_pred.insert(p, rel.live_stats(mark_of(p)));
+                let mark = mark_of(p);
+                let stats = if rel.len() > mark {
+                    Arc::make_mut(rel).live_stats(mark)
+                } else {
+                    rel.stats()
+                };
+                per_pred.insert(p, stats);
             }
         }
         PlanStats {
@@ -1394,25 +1465,28 @@ mod tests {
 
     #[test]
     fn bloom_rejects_absent_keys_without_losing_rows() {
+        // A partial signature (columns 0 and 1 of an arity-3 relation):
+        // full-key signatures are served by the dedup table and carry no
+        // bloom filter.
         let mut i = Interner::new();
         let v = csts(&mut i, &["a", "b", "c", "d"]);
         let (a, b, c, d) = (v[0], v[1], v[2], v[3]);
-        let mut r = Relation::new(2);
-        r.insert(&[a, b]);
-        r.ensure_composite(0b11);
-        r.insert(&[c, d]); // bloom maintained on insert
-                           // Present keys are found through the bloom.
-        assert_eq!(probe_rows(&r, 0b11, &[a, b]).len(), 1);
-        assert_eq!(probe_rows(&r, 0b11, &[c, d]).len(), 1);
+        let mut r = Relation::new(3);
+        r.insert(&[a, b, a]);
+        r.ensure_composite(0b011);
+        r.insert(&[c, d, a]); // bloom maintained on insert
+                              // Present keys are found through the bloom.
+        assert_eq!(probe_rows(&r, 0b011, &[a, b]).len(), 1);
+        assert_eq!(probe_rows(&r, 0b011, &[c, d]).len(), 1);
         // Absent keys yield zero candidates whether the bloom rejects them
         // or the bucket lookup misses.
-        assert_eq!(probe_rows(&r, 0b11, &[a, d]).len(), 0);
-        match r.composite_probe(0b11, hash_key(&[a, b])) {
+        assert_eq!(probe_rows(&r, 0b011, &[a, d]).len(), 0);
+        match r.composite_probe(0b011, hash_key(&[a, b])) {
             CompositeProbe::Bucket(ids) => assert_eq!(ids.len(), 1),
             other => panic!("expected bucket, got {other:?}"),
         }
         assert!(matches!(
-            r.composite_probe(0b01, hash_key(&[a])),
+            r.composite_probe(0b001, hash_key(&[a])),
             CompositeProbe::NotBuilt
         ));
         // Sweep many absent keys: every one must resolve to zero confirmed
@@ -1422,9 +1496,9 @@ mod tests {
         let mut rejects = 0;
         for &x in &extra {
             for &y in &extra {
-                assert_eq!(probe_rows(&r, 0b11, &[x, y]).len(), 0);
+                assert_eq!(probe_rows(&r, 0b011, &[x, y]).len(), 0);
                 if matches!(
-                    r.composite_probe(0b11, hash_key(&[x, y])),
+                    r.composite_probe(0b011, hash_key(&[x, y])),
                     CompositeProbe::BloomReject
                 ) {
                     rejects += 1;
@@ -1432,6 +1506,34 @@ mod tests {
             }
         }
         assert!(rejects > 0, "no bloom rejections across 16 absent keys");
+    }
+
+    #[test]
+    fn full_key_signatures_build_no_composite_and_no_bloom() {
+        let mut i = Interner::new();
+        let v = csts(&mut i, &["a", "b", "c"]);
+        let (a, b, c) = (v[0], v[1], v[2]);
+        for (arity, full) in [(2usize, 0b11u64), (3, 0b111)] {
+            let mut r = Relation::new(arity);
+            r.insert(&[a, b, c][..arity]);
+            r.insert(&[b, c, a][..arity]);
+            let bytes = r.approx_bytes();
+            assert!(r.has_composite(full));
+            r.ensure_composite(full);
+            assert!(r.composite.is_empty() && r.blooms.is_empty());
+            assert_eq!(r.approx_bytes(), bytes);
+            // Probes are still fully covered, straight from `dedup`.
+            assert!(matches!(
+                r.probe(full, &[a, b, c][..arity]),
+                Probe::Index(_)
+            ));
+            assert_eq!(probe_rows(&r, full, &[b, c, a][..arity]).len(), 1);
+            assert_eq!(probe_rows(&r, full, &[c, c, c][..arity]).len(), 0);
+            match r.composite_probe(full, hash_key(&[a, b, c][..arity])) {
+                CompositeProbe::Bucket(ids) => assert_eq!(ids, &[0]),
+                other => panic!("expected bucket, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1719,6 +1821,63 @@ mod tests {
                 check(&r)?;
                 r.compact();
                 check(&r)?;
+            }
+
+            /// Full-key probes read the dedup table, so after any sequence
+            /// of inserts (asserted, which reclaim tombstoned slots, and
+            /// derived, which append), retractions and compactions, the
+            /// confirmed candidates of `composite_probe` and `probe` agree
+            /// with `contains` on every key.
+            #[test]
+            fn full_key_probes_agree_with_contains(
+                arity in 2usize..4,
+                ops in proptest::collection::vec((0u8..8, 0u8..64), 1..80),
+            ) {
+                let mut i = Interner::new();
+                let v = csts(&mut i, &["c0", "c1", "c2", "c3"]);
+                let key_of = |k: u8| -> Vec<Cst> {
+                    (0..arity).map(|col| v[(k as usize >> (2 * col)) & 3]).collect()
+                };
+                let full = (1u64 << arity) - 1;
+                let mut r = Relation::new(arity);
+                for &(op, k) in &ops {
+                    let t = key_of(k);
+                    match op {
+                        0..=2 => {
+                            r.insert(&t);
+                        }
+                        3 | 4 => {
+                            r.insert_derived(&t);
+                        }
+                        5 | 6 => {
+                            r.retract_tuple(&t);
+                        }
+                        _ => {
+                            r.compact();
+                        }
+                    }
+                    r.ensure_composite(full);
+                    prop_assert!(r.composite.is_empty());
+                    for k in 0..(1u8 << (2 * arity)) {
+                        let key = key_of(k);
+                        let want = usize::from(r.contains(&key));
+                        let confirmed = |ids: &[u32]| {
+                            ids.iter().filter(|&&id| r.row(RowId(id)) == &key[..]).count()
+                        };
+                        match r.composite_probe(full, hash_key(&key)) {
+                            CompositeProbe::Bucket(ids) => prop_assert_eq!(confirmed(ids), want),
+                            other => {
+                                return Err(TestCaseError::fail(format!(
+                                    "full-key composite probe returned {other:?}"
+                                )));
+                            }
+                        }
+                        match r.probe(full, &key) {
+                            Probe::Index(ids) => prop_assert_eq!(confirmed(ids), want),
+                            _ => return Err(TestCaseError::fail("full-key probe not covered")),
+                        }
+                    }
+                }
             }
         }
     }
